@@ -1,6 +1,7 @@
 #include "noc/network.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <ostream>
 
@@ -14,65 +15,90 @@ namespace vnpu::noc {
 RouteOverride
 RouteOverride::build_confined(const MeshTopology& topo, const CoreSet& region)
 {
-    const int n = topo.num_nodes();
     RouteOverride ov;
-    ov.nodes_ = n;
+    ov.width_ = static_cast<unsigned>(topo.width());
+    ov.count_ = region.count();
+    if (ov.count_ == 0)
+        return ov;
+
+    int x0 = topo.width(), y0 = topo.height(), x1 = -1, y1 = -1;
+    for (int id : region) {
+        VNPU_ASSERT(id < topo.num_nodes());
+        x0 = std::min(x0, topo.x_of(id));
+        x1 = std::max(x1, topo.x_of(id));
+        y0 = std::min(y0, topo.y_of(id));
+        y1 = std::max(y1, topo.y_of(id));
+    }
+    ov.box_x_ = static_cast<unsigned>(x0);
+    ov.box_y_ = static_cast<unsigned>(y0);
+    ov.box_w_ = static_cast<unsigned>(x1 - x0 + 1);
+    ov.box_h_ = static_cast<unsigned>(y1 - y0 + 1);
+    // A region filling its bounding box is a rectangle: the lookup rule
+    // needs no table.
+    if (static_cast<unsigned>(ov.count_) == ov.box_w_ * ov.box_h_)
+        return ov;
+
+    // Irregular region: rank every node (ascending id, so the smallest
+    // rank is the smallest id) and record each node's in-region
+    // neighbors by rank (-1: none).
+    const int n = ov.count_;
+    ov.rank_.assign(static_cast<std::size_t>(ov.box_w_) * ov.box_h_, -1);
+    const auto rank_of = [&ov](int id) {
+        unsigned x = 0, y = 0;
+        return ov.in_box(id, x, y) ? int{ov.rank_[y * ov.box_w_ + x]} : -1;
+    };
+    std::vector<int> ids;
+    ids.reserve(static_cast<std::size_t>(n));
+    for (int id : region) {
+        unsigned x = 0, y = 0;
+        ov.in_box(id, x, y);
+        ov.rank_[y * ov.box_w_ + x] = static_cast<std::int16_t>(ids.size());
+        ids.push_back(id);
+    }
+    std::vector<std::array<int, 4>> adj(static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r)
+        adj[r] = {rank_of(topo.neighbor(ids[r], Direction::kEast)),
+                  rank_of(topo.neighbor(ids[r], Direction::kWest)),
+                  rank_of(topo.neighbor(ids[r], Direction::kNorth)),
+                  rank_of(topo.neighbor(ids[r], Direction::kSouth))};
+
+    // BFS from each destination over region-internal links; the next
+    // hop from `cur` is its smallest-rank neighbor one step closer.
     ov.next_.assign(static_cast<std::size_t>(n) * n,
                     static_cast<std::int16_t>(kInvalidCore));
-
-    std::vector<int> nodes;
-    nodes.reserve(region.count());
-    for (int id : region) {
-        VNPU_ASSERT(id < n);
-        nodes.push_back(id);
-    }
-
-    // BFS from each destination over region-internal links; parent
-    // pointers give the next hop toward that destination. The scratch
-    // arrays are reused across destinations so the build allocates a
-    // constant number of times regardless of region size.
-    std::vector<int> dist(n);
+    std::vector<int> dist(static_cast<std::size_t>(n));
     std::vector<int> queue;
-    queue.reserve(nodes.size());
-    for (int dst : nodes) {
+    queue.reserve(static_cast<std::size_t>(n));
+    for (int dst = 0; dst < n; ++dst) {
         std::fill(dist.begin(), dist.end(), -1);
         queue.assign(1, dst);
         dist[dst] = 0;
         for (std::size_t head = 0; head < queue.size(); ++head) {
-            int v = queue[head];
-            for (Direction d : {Direction::kEast, Direction::kWest,
-                                Direction::kNorth, Direction::kSouth}) {
-                int u = topo.neighbor(v, d);
-                if (u == kInvalidCore || !region.test(u))
-                    continue;
-                if (dist[u] == -1) {
+            const int v = queue[head];
+            for (int u : adj[v]) {
+                if (u >= 0 && dist[u] == -1) {
                     dist[u] = dist[v] + 1;
                     queue.push_back(u);
                 }
             }
         }
-        for (int cur : nodes) {
+        if (static_cast<int>(queue.size()) != n) {
+            const int cur = static_cast<int>(
+                std::find(dist.begin(), dist.end(), -1) - dist.begin());
+            fatal("route override: region is disconnected between ",
+                  ids[cur], " and ", ids[dst]);
+        }
+        for (int cur = 0; cur < n; ++cur) {
             if (cur == dst)
                 continue;
-            if (dist[cur] == -1)
-                fatal("route override: region is disconnected between ",
-                      cur, " and ", dst);
-            // Smallest-id neighbor one step closer to dst.
-            int best = kInvalidCore;
-            for (Direction d : {Direction::kEast, Direction::kWest,
-                                Direction::kNorth, Direction::kSouth}) {
-                int u = topo.neighbor(cur, d);
-                if (u == kInvalidCore || !region.test(u))
-                    continue;
-                if (dist[u] == dist[cur] - 1 &&
-                    (best == kInvalidCore || u < best)) {
+            int best = -1;
+            for (int u : adj[cur])
+                if (u >= 0 && dist[u] == dist[cur] - 1 &&
+                    (best < 0 || u < best))
                     best = u;
-                }
-            }
-            VNPU_ASSERT(best != kInvalidCore);
+            VNPU_ASSERT(best >= 0);
             ov.next_[static_cast<std::size_t>(cur) * n + dst] =
-                static_cast<std::int16_t>(best);
-            ++ov.entries_;
+                static_cast<std::int16_t>(ids[best]);
         }
     }
     return ov;

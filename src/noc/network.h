@@ -16,7 +16,7 @@
  * next-hop functions (no materialized path vector), the wormhole
  * per-packet inner loop is collapsed into a closed-form per-link
  * occupancy update (docs/sim_kernel.md derives it), and `RouteOverride`
- * is a dense next-hop matrix indexed by (current, destination).
+ * answers a confined next hop without a mesh-sized table.
  */
 
 #ifndef VNPU_NOC_NETWORK_H
@@ -39,11 +39,19 @@ namespace vnpu::noc {
  * Predefined next hops confining traffic to a core region. Built from
  * the routing-table "direction" fields: for every (current node,
  * destination) pair inside the region it names the next node on a
- * shortest path that never leaves the region.
+ * shortest path that never leaves the region, preferring the
+ * smallest-id neighbor among equal-length choices.
  *
- * Stored as a flat `int16_t` next-hop matrix indexed `cur * N + dst`
- * (N = mesh nodes): one confined-route lookup is a single indexed load
- * on the hottest path of every isolation experiment.
+ * A pure function of the region, in one of two kinds chosen by its
+ * shape (docs/sim_kernel.md):
+ *  - an axis-aligned rectangle stores nothing: inside it the
+ *    smallest-id tie-break reduces to "north, else west, else east,
+ *    else south", computed per lookup;
+ *  - any other connected region stores a region-local |R|x|R| next-hop
+ *    table indexed by rank in the region, plus a rank map over its
+ *    bounding box.
+ * Pairs outside the region return kInvalidCore, so callers fall back
+ * to XY routing.
  */
 class RouteOverride {
   public:
@@ -51,28 +59,63 @@ class RouteOverride {
     int
     next_hop(int cur, int dst) const
     {
-        if (static_cast<unsigned>(cur) >= static_cast<unsigned>(nodes_) ||
-            static_cast<unsigned>(dst) >= static_cast<unsigned>(nodes_))
+        unsigned cx = 0, cy = 0, dx = 0, dy = 0;
+        if (!in_box(cur, cx, cy) || !in_box(dst, dx, dy))
             return kInvalidCore;
-        return next_[static_cast<std::size_t>(cur) * nodes_ + dst];
+        if (rank_.empty()) {
+            const int w = static_cast<int>(width_);
+            if (dy < cy)
+                return cur - w;
+            if (dx < cx)
+                return cur - 1;
+            if (dx > cx)
+                return cur + 1;
+            return dy > cy ? cur + w : kInvalidCore;
+        }
+        const int rc = rank_[cy * box_w_ + cx];
+        const int rd = rank_[dy * box_w_ + dx];
+        if (rc < 0 || rd < 0)
+            return kInvalidCore;
+        return next_[static_cast<std::size_t>(rc) * count_ + rd];
     }
 
-    /** Number of stored direction entries (for meta-table sizing). */
-    std::size_t size() const { return entries_; }
+    /** Direction entries the region's routing table holds: one per
+     *  ordered pair of distinct region nodes (meta-table sizing). */
+    std::size_t
+    size() const
+    {
+        return static_cast<std::size_t>(count_) * (count_ - 1);
+    }
+
+    /** True for the storage-free rectangle kind. */
+    bool is_rectangle() const { return rank_.empty(); }
 
     /**
-     * Build confined shortest-path routing inside `region` via BFS from
-     * every destination. Deterministic: prefers the smallest-id
-     * neighbor among equal-length choices.
-     * @pre `region` induces a connected subgraph of the mesh.
+     * Confined shortest-path routing inside `region`.
+     * @throws SimFatal if `region` is not connected in the mesh.
      */
     static RouteOverride build_confined(const MeshTopology& topo,
                                         const CoreSet& region);
 
   private:
+    /** Bounding-box-relative coordinates of `id`; false if outside. */
+    bool
+    in_box(int id, unsigned& x, unsigned& y) const
+    {
+        const unsigned u = static_cast<unsigned>(id);
+        x = u % width_ - box_x_;
+        y = u / width_ - box_y_;
+        return x < box_w_ && y < box_h_;
+    }
+
+    unsigned width_ = 1; ///< Mesh width.
+    unsigned box_x_ = 0, box_y_ = 0, box_w_ = 0, box_h_ = 0;
+    int count_ = 0; ///< Region nodes.
+    /** Irregular kind only: rank in region per bounding-box cell
+     *  (row-major), -1 outside the region. */
+    std::vector<std::int16_t> rank_;
+    /** Irregular kind only: next hop indexed `rank(cur)*|R| + rank(dst)`. */
     std::vector<std::int16_t> next_;
-    int nodes_ = 0;
-    std::size_t entries_ = 0;
 };
 
 /** Outcome of a message send. */

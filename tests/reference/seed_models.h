@@ -134,6 +134,7 @@ class SeedRouteOverride {
     build_confined(const noc::MeshTopology& topo, const CoreSet& region)
     {
         using noc::Direction;
+        VNPU_ASSERT(topo.num_nodes() <= 65536); // key() packs 16-bit ids
         SeedRouteOverride ov;
         std::vector<int> nodes;
         for (int id = 0; id < topo.num_nodes(); ++id)
@@ -184,7 +185,7 @@ class SeedRouteOverride {
   private:
     static std::uint32_t key(int cur, int dst)
     {
-        return static_cast<std::uint32_t>(cur) << 8 |
+        return static_cast<std::uint32_t>(cur) << 16 |
                static_cast<std::uint32_t>(dst);
     }
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -171,6 +172,58 @@ INSTANTIATE_TEST_SUITE_P(
                (std::get<1>(p.param) ? "Relay" : "Wormhole");
     });
 
+/**
+ * Compare `RouteOverride` against the seed's BFS-built map on every
+ * (cur, dst) pair of the whole mesh; pairs with an end outside the
+ * region must give kInvalidCore on both sides.
+ */
+void
+expect_routes_match_seed(const MeshTopology& topo, const CoreSet& region)
+{
+    const RouteOverride fast = RouteOverride::build_confined(topo, region);
+    const seed::SeedRouteOverride ref =
+        seed::SeedRouteOverride::build_confined(topo, region);
+    ASSERT_EQ(fast.size(), ref.size()) << region;
+    for (int cur = 0; cur < topo.num_nodes(); ++cur)
+        for (int dst = 0; dst < topo.num_nodes(); ++dst) {
+            const int want = ref.next_hop(cur, dst);
+            ASSERT_EQ(fast.next_hop(cur, dst), want)
+                << "cur=" << cur << " dst=" << dst << " region=" << region;
+            if (!region.test(cur) || !region.test(dst)) {
+                ASSERT_EQ(want, kInvalidCore);
+            }
+        }
+}
+
+CoreSet
+rect_region(const MeshTopology& topo, int x0, int y0, int w, int h)
+{
+    CoreSet r;
+    for (int y = y0; y < y0 + h; ++y)
+        for (int x = x0; x < x0 + w; ++x)
+            r.set(topo.id_of(x, y));
+    return r;
+}
+
+/** Connected polyomino of `cells` nodes grown from `start` at random. */
+CoreSet
+grow_region(const MeshTopology& topo, int start, int cells,
+            seed::SeedLcg& lcg)
+{
+    CoreSet r = core_bit(start);
+    std::vector<int> members{start};
+    while (static_cast<int>(members.size()) < cells) {
+        const int from = members[lcg.next_below(members.size())];
+        const int to = topo.neighbor(
+            from, static_cast<noc::Direction>(lcg.next_below(4)));
+        if (to != kInvalidCore && !r.test(to)) {
+            r.set(to);
+            members.push_back(to);
+        }
+    }
+    return r;
+}
+
 TEST(GoldenRouteOverrideTest, DenseTableMatchesSeedMap)
 {
     MeshTopology topo(8, 8);
@@ -199,15 +252,102 @@ TEST(GoldenRouteOverrideTest, DenseTableMatchesSeedMap)
     }
     regions.push_back(CoreSet::first_n(64)); // all 64 cores
 
-    for (const CoreSet& region : regions) {
-        RouteOverride fast = RouteOverride::build_confined(topo, region);
-        seed::SeedRouteOverride ref =
-            seed::SeedRouteOverride::build_confined(topo, region);
-        EXPECT_EQ(fast.size(), ref.size());
-        for (int cur = 0; cur < topo.num_nodes(); ++cur)
-            for (int dst = 0; dst < topo.num_nodes(); ++dst)
-                EXPECT_EQ(fast.next_hop(cur, dst), ref.next_hop(cur, dst))
-                    << "cur=" << cur << " dst=" << dst;
+    for (const CoreSet& region : regions)
+        expect_routes_match_seed(topo, region);
+}
+
+TEST(GoldenRouteOverrideTest, EverySubRectangleOf8x8MatchesSeed)
+{
+    MeshTopology topo(8, 8);
+    int regions = 0;
+    for (int y0 = 0; y0 < 8; ++y0)
+        for (int x0 = 0; x0 < 8; ++x0)
+            for (int h = 1; y0 + h <= 8; ++h)
+                for (int w = 1; x0 + w <= 8; ++w) {
+                    const CoreSet r = rect_region(topo, x0, y0, w, h);
+                    EXPECT_TRUE(
+                        RouteOverride::build_confined(topo, r).is_rectangle());
+                    expect_routes_match_seed(topo, r);
+                    if (HasFatalFailure())
+                        return;
+                    ++regions;
+                }
+    EXPECT_EQ(regions, 36 * 36);
+}
+
+TEST(GoldenRouteOverrideTest, PolyominoesMatchSeed)
+{
+    MeshTopology topo(8, 8);
+    // Each shape as rows of '#' cells, placed at the mesh origin.
+    struct Shape {
+        std::vector<const char*> rows;
+        bool connected;
+    };
+    const std::vector<Shape> shapes = {
+        {{"#.....", "#.....", "#.....", "#.....", "#.....", "#####"}, true},
+        {{"###.", "###.", "###.", "####"}, true}, // rectangle with a bump
+        {{"###", ".#.", ".#."}, true},            // T
+        {{"#..", "###", "..#"}, true},            // S
+        {{".#.", "###", ".#."}, true},            // plus
+        {{"###", "#.#", "###"}, true},            // 3x3 ring
+        {{"####", "#..#", "#..#", "####"}, true}, // 4x4 ring, 2x2 hole
+        {{"#.#.#", "#####", "#.#.#"}, true},      // comb
+        {{"########", "#......#", "#.####.#", "#.#..#.#", "#.#....#",
+          "#.######", "#.......", "########"},
+         true}, // winding corridor
+        {{"#####", "#...#", "#.#.#", "#...#", "#####"}, false}, // island
+        {{"##..", "..##"}, false}, // diagonal contact only
+    };
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        CoreSet r;
+        const std::vector<const char*>& rows = shapes[i].rows;
+        for (std::size_t y = 0; y < rows.size(); ++y)
+            for (int x = 0; rows[y][x] != '\0'; ++x)
+                if (rows[y][x] == '#')
+                    r.set(topo.id_of(x, static_cast<int>(y)));
+        SCOPED_TRACE("shape " + std::to_string(i));
+        if (!shapes[i].connected) {
+            EXPECT_THROW(RouteOverride::build_confined(topo, r), SimFatal);
+            continue;
+        }
+        EXPECT_FALSE(RouteOverride::build_confined(topo, r).is_rectangle());
+        expect_routes_match_seed(topo, r);
+    }
+
+    // Random polyominoes anywhere on the mesh.
+    seed::SeedLcg lcg(0xC0FFEE);
+    for (int k = 0; k < 60; ++k) {
+        const int start = static_cast<int>(lcg.next_below(64));
+        const int cells = 2 + static_cast<int>(lcg.next_below(30));
+        expect_routes_match_seed(topo, grow_region(topo, start, cells, lcg));
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(GoldenRouteOverrideTest, LargeMeshSampleMatchesSeed)
+{
+    // 32x32: node ids above 255 exercise the oracle's wide pair key and
+    // the bounding-box arithmetic far from the origin.
+    MeshTopology topo(32, 32);
+    const int rects[][4] = {
+        {0, 0, 32, 32}, {0, 0, 32, 1}, {0, 31, 32, 1}, {31, 0, 1, 32},
+        {25, 27, 7, 5}, {8, 8, 16, 16}, {3, 10, 1, 1}, {0, 20, 5, 12},
+    };
+    for (const auto& q : rects) {
+        const CoreSet r = rect_region(topo, q[0], q[1], q[2], q[3]);
+        EXPECT_TRUE(RouteOverride::build_confined(topo, r).is_rectangle());
+        expect_routes_match_seed(topo, r);
+        if (HasFatalFailure())
+            return;
+    }
+    seed::SeedLcg lcg(20261019);
+    for (int k = 0; k < 8; ++k) {
+        const int start = static_cast<int>(lcg.next_below(1024));
+        const int cells = 16 + static_cast<int>(lcg.next_below(100));
+        expect_routes_match_seed(topo, grow_region(topo, start, cells, lcg));
+        if (HasFatalFailure())
+            return;
     }
 }
 

@@ -9,7 +9,6 @@
 #include <set>
 #include <vector>
 
-#include "check/checks.h"
 #include "hyp/hypervisor.h"
 #include "hyp/mig.h"
 #include "runtime/machine.h"
@@ -308,146 +307,6 @@ TEST(HypervisorTest, FragmentationSweepOn1024CoreMesh)
         const virt::VirtualNpu* other = hv.find(vms[i]);
         ASSERT_NE(other, nullptr);
         EXPECT_TRUE((vf.mask() & other->mask()).none());
-    }
-}
-
-TEST(HypervisorTest, RouteCacheHitsAcrossMigComparisonSweep)
-{
-    // The MIG comparison sweeps re-create identical vNPUs run after
-    // run; the confined-route tables must come from the cache after
-    // the first round instead of re-running the BFS build.
-    Machine m(sim_cfg());
-    Hypervisor hv(m.config(), m.topology(), m.controller());
-
-    const noc::RouteOverride* first_round[2] = {nullptr, nullptr};
-    const int rounds = 4;
-    for (int round = 0; round < rounds; ++round) {
-        VnpuSpec sa, sb;
-        sa.num_cores = 12;
-        sb.num_cores = 24;
-        virt::VirtualNpu& va = hv.create(sa);
-        virt::VirtualNpu& vb = hv.create(sb);
-        ASSERT_TRUE(va.isolated() && vb.isolated());
-        if (round == 0) {
-            first_round[0] = va.confined_routes();
-            first_round[1] = vb.confined_routes();
-        } else {
-            // Identical regions -> the very same cached tables.
-            EXPECT_EQ(va.confined_routes(), first_round[0]);
-            EXPECT_EQ(vb.confined_routes(), first_round[1]);
-        }
-        VmId vma = va.vm(), vmb = vb.vm();
-        hv.destroy(vma);
-        hv.destroy(vmb);
-    }
-    EXPECT_EQ(hv.stats().route_cache_misses.value(), 2u);
-    EXPECT_EQ(hv.stats().route_cache_hits.value(), 2u * (rounds - 1));
-}
-
-TEST(HypervisorTest, RouteCacheEvictsUnreferencedTables)
-{
-    // 70 distinct single-tenant regions churned through an 80-node
-    // chip: every table is unreferenced after its destroy, so the
-    // cache must stay bounded at the eviction cap (64 entries at this
-    // mesh size) instead of retaining one n*n matrix per region ever
-    // seen.
-    Machine m(mesh_cfg(16, 5));
-    Hypervisor hv(m.config(), m.topology(), m.controller());
-    for (int k = 1; k <= 70; ++k) {
-        VnpuSpec spec;
-        spec.num_cores = k;
-        spec.max_candidates = 16;
-        virt::VirtualNpu& v = hv.create(spec);
-        hv.destroy(v.vm());
-    }
-    EXPECT_EQ(hv.stats().route_cache_misses.value(), 70u);
-    EXPECT_LE(hv.route_cache_size(), 64u); // evict-before-insert cap
-}
-
-TEST(HypervisorTest, RouteCacheServesRegionTablesAcrossVmIdentities)
-{
-    // Fleet churn re-creates the *same region* under a *different VM
-    // id* millions of times. The cache is keyed by region CoreSet and
-    // the table holds only region-internal next hops — nothing per-VM
-    // — so a hit across destroy/re-create is safe by construction.
-    // Pin that: the re-created VM gets the cached table, the table
-    // passes full containment verification, and the ids differ.
-    Machine m(sim_cfg());
-    Hypervisor hv(m.config(), m.topology(), m.controller());
-
-    VnpuSpec spec;
-    spec.num_cores = 12;
-    virt::VirtualNpu& v1 = hv.create(spec);
-    const VmId id1 = v1.vm();
-    const CoreSet region = v1.mask();
-    const noc::RouteOverride* table = v1.confined_routes();
-    ASSERT_NE(table, nullptr);
-    hv.destroy(id1);
-
-    virt::VirtualNpu& v2 = hv.create(spec);
-    EXPECT_NE(v2.vm(), id1); // fresh VM identity...
-    EXPECT_EQ(v2.mask(), region);
-    EXPECT_EQ(v2.confined_routes(), table); // ...same cached table
-    check::verify_confined_route(m.topology(), v2.mask(),
-                                 *v2.confined_routes());
-    EXPECT_EQ(hv.stats().route_cache_hits.value(), 1u);
-    EXPECT_EQ(hv.stats().route_cache_misses.value(), 1u);
-    hv.destroy(v2.vm());
-}
-
-TEST(HypervisorTest, RouteCacheEvictionBoundUnderChurnAt1024Cores)
-{
-    // At 32x32 every cached table is a 1024x1024 next-hop matrix
-    // (~2 MiB), so the 16 MiB budget caps the cache at 8 entries.
-    // Churning 14 distinct regions through create/destroy must evict
-    // — not retain one matrix per region ever seen — and the eviction
-    // count must ride the collect_stats sweep for fleet telemetry.
-    Machine m(mesh_cfg(32, 32));
-    Hypervisor hv(m.config(), m.topology(), m.controller());
-    for (int k = 1; k <= 14; ++k) {
-        VnpuSpec spec;
-        spec.num_cores = k; // distinct region per k
-        spec.strategy = MappingStrategy::kExact;
-        virt::VirtualNpu& v = hv.create(spec);
-        hv.destroy(v.vm());
-    }
-    EXPECT_EQ(hv.stats().route_cache_misses.value(), 14u);
-    EXPECT_LE(hv.route_cache_size(), 8u);
-    EXPECT_GE(hv.stats().route_cache_evictions.value(), 6u);
-
-    StatSet st;
-    hv.collect_stats(st, "hyp.");
-    EXPECT_EQ(st.get("hyp.route_cache.evictions", -1),
-              static_cast<double>(
-                  hv.stats().route_cache_evictions.value()));
-    EXPECT_EQ(st.get("hyp.route_cache.hits", -1), 0.0);
-    EXPECT_EQ(st.get("hyp.route_cache.misses", -1), 14.0);
-}
-
-TEST(HypervisorTest, RouteCacheNeverEvictsLiveTables)
-{
-    // Ten concurrent 2-core tenants on a 32x32 mesh push the cache
-    // past its 8-entry budget, but every table is still referenced by
-    // a live VM: eviction must skip them all (a dropped live table
-    // would be rebuilt on the next admission, violating pointer
-    // stability that RouteCacheHitsAcrossMigComparisonSweep pins).
-    Machine m(mesh_cfg(32, 32));
-    Hypervisor hv(m.config(), m.topology(), m.controller());
-    std::vector<VmId> vms;
-    std::vector<const noc::RouteOverride*> tables;
-    for (int i = 0; i < 10; ++i) {
-        VnpuSpec spec;
-        spec.num_cores = 2;
-        spec.strategy = MappingStrategy::kExact;
-        virt::VirtualNpu& v = hv.create(spec);
-        vms.push_back(v.vm());
-        tables.push_back(v.confined_routes());
-    }
-    EXPECT_EQ(hv.route_cache_size(), 10u); // over budget, all live
-    EXPECT_EQ(hv.stats().route_cache_evictions.value(), 0u);
-    for (std::size_t i = 0; i < vms.size(); ++i) {
-        EXPECT_EQ(hv.find(vms[i])->confined_routes(), tables[i]);
-        hv.destroy(vms[i]);
     }
 }
 
