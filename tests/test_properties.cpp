@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <tuple>
 
@@ -158,6 +159,15 @@ struct PlanCase {
     int stages;
 };
 
+// Name the case by value: gtest's default byte dump would print the
+// `model` pointer, and test discovery would then name the case after a
+// load address that changes from run to run.
+void
+PrintTo(const PlanCase& pc, std::ostream* os)
+{
+    *os << pc.model << "_s" << pc.stages;
+}
+
 class PipelinePlanProperty : public ::testing::TestWithParam<PlanCase> {};
 
 TEST_P(PipelinePlanProperty, ConservationAndEdgeSanity)
@@ -211,6 +221,16 @@ struct CompileCase {
     bool stream;
     bool single_stream;
 };
+
+void
+PrintTo(const CompileCase& cc, std::ostream* os)
+{
+    *os << cc.model << "_s" << cc.stages
+        << (cc.comm == runtime::CommMode::kDataflow ? "_dataflow"
+                                                     : "_uvmsync")
+        << (cc.stream ? "_stream" : "")
+        << (cc.single_stream ? "_single" : "");
+}
 
 class CompiledProgramProperty
     : public ::testing::TestWithParam<CompileCase> {};
